@@ -9,9 +9,9 @@ literal set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .sop import Cover, Cube, Literal, cover_divide, cube_divide
+from .sop import Cover, Cube, Literal
 
 __all__ = ["is_cube_free", "make_cube_free", "kernels", "KernelEntry"]
 
@@ -86,8 +86,9 @@ def kernels(cover: Cover, include_trivial: bool = True) -> List[KernelEntry]:
                 continue
             cokernel = frozenset(path_cube | {lit} | stripped)
             entry = KernelEntry(sub_free, cokernel)
-            if entry.key() not in seen and len(sub_free) >= 2:
-                seen[entry.key()] = entry
+            key = entry.key()
+            if key not in seen and len(sub_free) >= 2:
+                seen[key] = entry
             recurse(sub_free, pos + 1, set(cokernel))
 
     recurse(list(cover), 0, set())

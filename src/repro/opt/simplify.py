@@ -15,14 +15,13 @@ circuits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from ..bdd import BddManager
 from ..bdd.isop import isop
-from ..boolfunc import TruthTable
 from ..network import Network
 from ..network.simulate import simulate_all_signals
-from .sop import cover_literals
+from .sop import table_from_cover
 
 __all__ = ["simplify_with_sdc", "node_care_set"]
 
@@ -74,13 +73,9 @@ def simplify_with_sdc(net: Network, max_pis: int = 14) -> int:
         upper = manager.from_truth_table(node.table.mask | (full ^ care), levels)
         cover = isop(manager, on, upper)
         # Rebuild a completely specified table from the minimised cover.
-        mask = 0
-        for pattern in range(1 << n):
-            for cube in cover:
-                if all(((pattern >> lv) & 1) == val for lv, val in cube.items()):
-                    mask |= 1 << pattern
-                    break
-        new_table = TruthTable(n, mask)
+        new_table = table_from_cover(
+            [frozenset(cube.items()) for cube in cover], n
+        )
         reduced, kept = new_table.minimize_support()
         old_cover = isop(
             manager, manager.from_truth_table(node.table.mask, levels),

@@ -14,6 +14,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..bdd import BddManager
 from ..bdd.isop import isop
 from ..boolfunc import TruthTable
+from ..boolfunc.truthtable import _mask0
 
 __all__ = [
     "Literal",
@@ -46,13 +47,25 @@ def cover_from_table(table: TruthTable) -> Cover:
 
 
 def table_from_cover(cover: Cover, num_inputs: int) -> TruthTable:
-    """Evaluate a cover back into a truth table."""
+    """Evaluate a cover back into a truth table.
+
+    Bit-parallel: each cube's mask is the AND of its literals' variable
+    masks, and the cover's mask is the OR of its cubes.  Raises
+    ``ValueError`` for a literal whose index is outside
+    ``range(num_inputs)`` or whose polarity is not 0 or 1.
+    """
+    full = (1 << (1 << num_inputs)) - 1
     mask = 0
-    for minterm in range(1 << num_inputs):
-        for cube in cover:
-            if all(((minterm >> idx) & 1) == pol for idx, pol in cube):
-                mask |= 1 << minterm
-                break
+    for cube in cover:
+        term = full
+        for idx, pol in cube:
+            if not 0 <= idx < num_inputs or pol not in (0, 1):
+                raise ValueError(
+                    f"literal {(idx, pol)!r} invalid for {num_inputs} inputs"
+                )
+            clear = _mask0(num_inputs, idx)
+            term &= (full ^ clear) if pol else clear
+        mask |= term
     return TruthTable(num_inputs, mask)
 
 
