@@ -26,12 +26,12 @@ from typing import Dict, Optional
 from .. import obs
 from ..bdd import FALSE, TRUE
 from ..decompose import DecompositionOptions, decompose_to_network
-from ..network import GlobalBdds, Network, extract_cone, parse_blif, to_blif
+from ..network import GlobalBdds, Network, parse_blif
 from ..runstate import RunInterrupted, RunJournal
 from .clb import pack_xc3000
 from .hyde import MapResult, _check, _resume_gate, _splice, hyde_map
 from .lut import cleanup_for_lut_count, count_luts
-from .parallel import GroupTask, TaskPolicy, run_group_tasks
+from .parallel import GroupTask, TaskPolicy, cone_blif, run_group_tasks
 from .resub import resubstitute
 
 __all__ = [
@@ -137,14 +137,11 @@ def map_per_output(
         recorder = obs.active()
         tasks = [
             GroupTask(
-                blif_text=to_blif(
-                    extract_cone(net, [out], name=f"{net.name}_o{oi}_cone")
-                ),
+                blif_text=cone_blif(net, [out]),
                 group=[out],
                 gi=oi,
                 options=options,
                 fallback_per_output=False,
-                base_name=f"{net.name}_o{oi}",
                 inject=faults.spec_for(oi) if faults else None,
                 trace=recorder is not None,
             )

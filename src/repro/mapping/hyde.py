@@ -31,15 +31,19 @@ from ..network import (
     GlobalBdds,
     Network,
     check_equivalence,
-    extract_cone,
     parse_blif,
     simulate_equivalence,
-    to_blif,
 )
 from ..runstate import RunInterrupted, RunJournal
 from .clb import pack_xc3000
 from .lut import cleanup_for_lut_count, count_luts
-from .parallel import GroupTask, TaskPolicy, build_group_fragment, run_group_tasks
+from .parallel import (
+    GroupTask,
+    TaskPolicy,
+    build_group_fragment,
+    cone_blif,
+    run_group_tasks,
+)
 
 __all__ = ["MapResult", "hyde_map", "cluster_outputs"]
 
@@ -293,17 +297,15 @@ def hyde_map(
         recorder = obs.active()
         tasks = []
         for gi, group in enumerate(groups):
-            cone = extract_cone(net, group, name=f"{net.name}_g{gi}_cone")
             tasks.append(
                 GroupTask(
-                    blif_text=to_blif(cone),
+                    blif_text=cone_blif(net, group),
                     group=list(group),
                     gi=gi,
                     options=options,
                     ingredient_policy=ingredient_policy,
                     ppi_placement=ppi_placement,
                     fallback_per_output=fallback_per_output,
-                    base_name=f"{net.name}_g{gi}",
                     inject=faults.spec_for(gi) if faults else None,
                     trace=recorder is not None,
                 )
@@ -426,7 +428,6 @@ def hyde_map(
                         ingredient_policy=ingredient_policy,
                         ppi_placement=ppi_placement,
                         fallback_per_output=fallback_per_output,
-                        base_name=f"{net.name}_g{gi}",
                     )
                     rename = _splice(result, fragment, f"g{gi}_")
                     for out in group:

@@ -56,6 +56,7 @@ from ..network import (
     GlobalBdds,
     Network,
     check_equivalence,
+    extract_cone,
     node_depths,
     parse_blif,
     to_blif,
@@ -72,6 +73,7 @@ __all__ = [
     "PORTFOLIO_STRATEGIES",
     "KNOWN_STRATEGIES",
     "build_group_fragment",
+    "cone_blif",
     "per_output_fragment",
     "structural_fragment",
     "run_group_tasks",
@@ -97,6 +99,19 @@ PORTFOLIO_STRATEGIES: Tuple[str, ...] = (
 KNOWN_STRATEGIES: Tuple[str, ...] = PORTFOLIO_STRATEGIES + ("exact",)
 
 
+#: The ``.model`` name of every group cone.  It is fixed so that a task's
+#: key, and the fragment a worker builds for it, depend on the cone's
+#: content alone: the same cone in a renamed circuit, or at another group
+#: position, is the same task.  Splice prefixes, not names, keep the
+#: spliced nodes collision-free.
+CONE_MODEL = "cone"
+
+
+def cone_blif(net: Network, outputs: Sequence[str]) -> str:
+    """The standalone fan-in cone of ``outputs`` as group-task BLIF."""
+    return to_blif(extract_cone(net, outputs, name=CONE_MODEL))
+
+
 @dataclass
 class GroupTask:
     """Everything one worker needs, in picklable form."""
@@ -108,7 +123,6 @@ class GroupTask:
     ingredient_policy: str = "chart"
     ppi_placement: str = "prefer_free"
     fallback_per_output: bool = True
-    base_name: str = "group"
     # "hyper" | "per_output" (ladder rung 2 / portfolio strategy) |
     # "structural" (portfolio strategy: the BDD-free remap).  The
     # "column" portfolio strategy is hyper with ppi_placement
@@ -317,7 +331,6 @@ def build_group_fragment(
     ingredient_policy: str = "chart",
     ppi_placement: str = "prefer_free",
     fallback_per_output: bool = True,
-    base_name: str = "group",
 ) -> Tuple[Network, Dict[str, object]]:
     """Map one ingredient group to a standalone k-feasible fragment.
 
@@ -325,12 +338,15 @@ def build_group_fragment(
     serial loop and the pool workers: hyper-function decomposition for
     multi-output groups (with the optional per-output fallback), plain
     recursive decomposition for singleton groups.  The fragment's inputs
-    are ``group_inputs`` and its outputs are named after ``group``.
+    are ``group_inputs`` and its outputs are named after ``group``; its
+    model name is fixed (``hyper`` or ``per_output``), so the fragment is
+    a function of the cone and the options alone and a cached copy is
+    byte-for-byte what any circuit holding the same cone would compute.
     """
     ingredients = [(out, output_bdds[out]) for out in group]
     if len(group) == 1:
         fragment = per_output_fragment(
-            manager, ingredients, group_inputs, options, f"{base_name}_po"
+            manager, ingredients, group_inputs, options, "per_output"
         )
         cleanup_for_lut_count(fragment)
         return fragment, {"outputs": list(group), "hyper": False}
@@ -342,7 +358,6 @@ def build_group_fragment(
         options,
         ingredient_policy=ingredient_policy,
         ppi_placement=ppi_placement,
-        network_name=base_name,
     )
     fragment = hres.recovered
     cleanup_for_lut_count(fragment)
@@ -355,7 +370,7 @@ def build_group_fragment(
     }
     if fallback_per_output:
         alt = per_output_fragment(
-            manager, ingredients, group_inputs, options, f"{base_name}_po"
+            manager, ingredients, group_inputs, options, "per_output"
         )
         cleanup_for_lut_count(alt)
         cost = options.cost
@@ -486,7 +501,7 @@ def _decompose_group(task: GroupTask) -> GroupResult:
         ):
             cone = parse_blif(task.blif_text)
             fragment = structural_fragment(
-                cone, task.options.k, name=f"{task.base_name}_struct"
+                cone, task.options.k, name="structural"
             )
             blif_text = to_blif(fragment)
             if task.inject is not None:
@@ -537,7 +552,7 @@ def _decompose_group(task: GroupTask) -> GroupResult:
             ingredients = [(out, output_bdds[out]) for out in task.group]
             fragment = per_output_fragment(
                 manager, ingredients, group_inputs, task.options,
-                f"{task.base_name}_po",
+                "per_output",
             )
             cleanup_for_lut_count(fragment)
             info: Dict[str, object] = {
@@ -555,7 +570,6 @@ def _decompose_group(task: GroupTask) -> GroupResult:
                 ingredient_policy=task.ingredient_policy,
                 ppi_placement=task.ppi_placement,
                 fallback_per_output=task.fallback_per_output,
-                base_name=task.base_name,
             )
         blif_text = to_blif(fragment)
         if task.inject is not None:
@@ -632,7 +646,7 @@ def _decompose_group_exact(task: GroupTask) -> GroupResult:
         if task.options.max_seconds is not None:
             budget = min(budget, task.options.max_seconds)
         cost = "delay" if task.options.cost.mode == "delay" else "area"
-        fragment = Network(f"{task.base_name}_exact")
+        fragment = Network("exact")
         detail: Dict[str, object] = {}
         for out in task.group:
             spec, support = cone_spec(net, out)
@@ -643,7 +657,7 @@ def _decompose_group_exact(task: GroupTask) -> GroupResult:
                 budget_seconds=budget,
                 input_names=support,
                 output_name=out,
-                name=f"{task.base_name}_exact",
+                name="exact",
                 poll=manager.check_budget,
             )
             _splice_witness(fragment, res.network, out)
@@ -699,13 +713,12 @@ def _validate_reply(
         fragment = parse_blif(result.blif_text)
     except ValueError as exc:
         return f"corrupt_reply: {exc}"
-    if sorted(fragment.output_names) != sorted(task.group):
-        return "corrupt_reply: output set mismatch"
+    cause = _shape_cause(task, fragment)
+    if cause is not None:
+        return f"corrupt_reply: {cause}"
     if not policy.verify_fragments:
         return None
     cone = parse_blif(task.blif_text)
-    if not set(fragment.inputs) <= set(cone.inputs):
-        return "corrupt_reply: fragment reads unknown inputs"
     padded = fragment.copy()
     for pi in cone.inputs:
         if not padded.has_signal(pi):
@@ -847,15 +860,43 @@ def _merge_result_perf(
     report.perf = merged.snapshot()
 
 
+def _cone_inputs(blif_text: str) -> List[str]:
+    """The cone's declared PIs, read from its ``.inputs`` lines only."""
+    names: List[str] = []
+    for line in blif_text.replace("\\\n", " ").splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens and tokens[0] == ".inputs":
+            names.extend(tokens[1:])
+    return names
+
+
+def _shape_cause(task: GroupTask, fragment: Network) -> Optional[str]:
+    """Why ``fragment`` cannot be spliced for ``task``, or ``None``.
+
+    The structural checks every fragment faces — live replies, journal
+    replays and store hits alike, whatever ``verify_fragments`` says: it
+    must drive exactly the task's outputs and read only the cone's
+    inputs.  A cone-keyed store serves a row to every circuit holding
+    the same cone, so a row reading a signal outside it would otherwise
+    reach the splice and fail the whole request on an unknown fanin.
+    """
+    if sorted(fragment.output_names) != sorted(task.group):
+        return "output set mismatch"
+    if not set(fragment.inputs) <= set(_cone_inputs(task.blif_text)):
+        return "fragment reads unknown inputs"
+    return None
+
+
 def _replay_result(
     task: GroupTask, record: Dict[str, object], source: str = "replayed"
 ) -> Optional[GroupResult]:
     """Rebuild a :class:`GroupResult` from a journaled/cached record.
 
     Returns ``None`` — forcing re-execution — when the stored fragment
-    does not survive the same checks a live worker reply must pass: the
-    BLIF has to parse and drive exactly the task's outputs.  A corrupt
-    or tampered record therefore degrades to recomputation, never to
+    does not survive the structural checks a live worker reply must
+    pass (:func:`_shape_cause`): the BLIF has to parse, drive exactly
+    the task's outputs and read only the cone's inputs.  A corrupt or
+    tampered record therefore degrades to recomputation, never to
     splicing garbage.  ``source`` names the flag set in the result's
     info (``"replayed"`` for journal records, ``"cached"`` for result-
     store rows).
@@ -867,7 +908,7 @@ def _replay_result(
         fragment = parse_blif(blif_text)
     except ValueError:
         return None
-    if sorted(fragment.output_names) != sorted(task.group):
+    if _shape_cause(task, fragment) is not None:
         return None
     info = dict(record.get("info") or {})
     info[source] = True
@@ -891,8 +932,8 @@ def _cache_lookup(
     """Serve one task from the result store, or ``None`` on a miss.
 
     A stored row is *never trusted blindly*: every hit must rebuild
-    through :func:`_replay_result` (parse + output-set check), and a row
-    that has not yet passed the full reply-validation gate (the
+    through :func:`_replay_result` (parse, output and input sets), and a
+    row that has not yet passed the full reply-validation gate (the
     ``verified`` stamp) additionally runs :func:`_validate_reply` — the
     same equivalence engine live worker replies face — before its first
     reuse.  A row that fails either check is deleted from the store so
@@ -1232,7 +1273,7 @@ def _run_governed(
                     struct_start = time.perf_counter()
                     cone = parse_blif(task.blif_text)
                     fragment = structural_fragment(
-                        cone, task.options.k, name=f"{task.base_name}_struct"
+                        cone, task.options.k, name="structural"
                     )
                     landed = GroupResult(
                         gi=task.gi,
@@ -1276,14 +1317,6 @@ def _run_governed(
     return final, report
 
 
-def _cone_input_count(blif_text: str) -> int:
-    """Count the cone's declared PIs without a full parse."""
-    for line in blif_text.splitlines():
-        if line.startswith(".inputs"):
-            return len(line.split()) - 1
-    return 0
-
-
 def _portfolio_strategies(
     task: GroupTask, policy: TaskPolicy
 ) -> List[str]:
@@ -1305,7 +1338,7 @@ def _portfolio_strategies(
         if strategy == "exact":
             from ..exact import EXACT_MAX_INPUTS
 
-            if _cone_input_count(task.blif_text) > EXACT_MAX_INPUTS:
+            if len(_cone_inputs(task.blif_text)) > EXACT_MAX_INPUTS:
                 continue
         out.append(strategy)
     if all(s == "exact" for s in out):

@@ -98,15 +98,16 @@ def task_key(task) -> str:
     package cycle).  The key covers everything that determines the
     fragment a deterministic worker would produce: the cone BLIF, the
     ordered output group, the full ``DecompositionOptions`` and the
-    group-level policy knobs.  Deliberately *excluded*: ``gi`` (a
-    position, not content), ``attempt``/``inject``/``trace`` (run-time
-    machinery that must not split the cache).
+    group-level policy knobs.  Nothing derived from the circuit name or
+    the group's position feeds it: the flows give every cone the same
+    ``.model`` name, so one cone keys the same in any circuit and at any
+    group index.  Also excluded: ``attempt``/``inject``/``trace``
+    (run-time machinery that must not split the cache).
     """
     payload = {
         "blif": task.blif_text,
         "group": list(task.group),
         "mode": task.mode,
-        "base_name": task.base_name,
         "ingredient_policy": task.ingredient_policy,
         "ppi_placement": task.ppi_placement,
         "fallback_per_output": task.fallback_per_output,

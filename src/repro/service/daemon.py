@@ -80,6 +80,7 @@ import socket
 import socketserver
 import threading
 import time
+from collections import deque
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclass_replace
 from typing import Dict, Iterator, List, Optional
@@ -138,6 +139,18 @@ _FLOWS = {"hyde": hyde_map, "per-output": map_per_output}
 
 _POLICY_FIELDS = {f.name for f in dataclass_fields(TaskPolicy)}
 
+#: Map latencies kept for the ``stats`` percentiles: the most recent
+#: ones, so the distribution follows the current load, in bounded memory.
+LATENCY_WINDOW = 1024
+
+
+def _percentile(ordered: List[float], share: float) -> float:
+    """Percentile of a sorted list, interpolated between closest ranks."""
+    pos = share * (len(ordered) - 1)
+    low = int(pos)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
+
 
 def _request_delay() -> float:
     try:
@@ -184,6 +197,7 @@ class MappingService:
         self.map_count = 0
         self.map_seconds = 0.0
         self.last_map_seconds: Optional[float] = None
+        self.recent_map_seconds: deque = deque(maxlen=LATENCY_WINDOW)
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_rejected = 0
@@ -273,6 +287,7 @@ class MappingService:
     def stats(self) -> Dict[str, object]:
         with self._lock:
             mean = self.map_seconds / self.map_count if self.map_count else None
+            recent = sorted(self.recent_map_seconds)
             out: Dict[str, object] = {
                 "pid": os.getpid(),
                 "jobs": self.jobs,
@@ -285,6 +300,15 @@ class MappingService:
                     "total_seconds": round(self.map_seconds, 6),
                     "mean_seconds": round(mean, 6) if mean else None,
                     "last_seconds": self.last_map_seconds,
+                    "window": len(recent),
+                    **{
+                        f"p{pct}_seconds": (
+                            round(_percentile(recent, pct / 100), 6)
+                            if recent
+                            else None
+                        )
+                        for pct in (50, 90, 99)
+                    },
                 },
                 "cache": {
                     "hits": self.cache_hits,
@@ -554,6 +578,7 @@ class MappingService:
             self.map_count += 1
             self.map_seconds += elapsed
             self.last_map_seconds = round(elapsed, 6)
+            self.recent_map_seconds.append(elapsed)
             self.cache_hits += int(cache.get("hits", 0))
             self.cache_misses += int(cache.get("misses", 0))
             self.cache_rejected += int(cache.get("rejected", 0))

@@ -3,10 +3,13 @@
 One row per completed group task, keyed by the run journal's
 content-addressed :func:`~repro.runstate.task_key` (SHA256 over the cone
 BLIF, the output group, every :class:`~repro.decompose.DecompositionOptions`
-field and the group-level policy knobs).  Identical cones — across
-requests, circuits and users — therefore share one row, which is exactly
-what turns a warm daemon into a cross-run cache instead of a per-process
-memo.
+field and the group-level policy knobs).  The flows give every cone the
+same ``.model`` name and name every fragment after its strategy, so no
+circuit name or group position reaches the key or the stored fragment:
+identical cones — across requests, circuits, group positions and users —
+share one row, and a hit serves byte-for-byte the fragment a cold map of
+the requesting circuit would build.  That is what turns a warm daemon
+into a cross-run cache instead of a per-process memo.
 
 Three safety properties, in decreasing order of paranoia:
 
@@ -29,7 +32,9 @@ Three safety properties, in decreasing order of paranoia:
   reply validation).  The dispatch loop in
   :mod:`repro.mapping.parallel` re-validates any unverified row against
   its cone — the same equivalence engine live replies face — before its
-  first reuse and stamps it; see ``_cache_lookup`` there.
+  first reuse and stamps it; see ``_cache_lookup`` there.  Every hit,
+  verified or not, must still drive exactly its task's outputs from the
+  cone's inputs, or it is invalidated and recomputed.
 
 The store is safe for multi-threaded use (one connection guarded by a
 lock, WAL journaling for concurrent readers from other processes).
@@ -80,7 +85,6 @@ _TASK_KEY_FIELDS = (
     "blif",
     "group",
     "mode",
-    "base_name",
     "ingredient_policy",
     "ppi_placement",
     "fallback_per_output",
@@ -486,6 +490,11 @@ class ResultStore:
                 "lookups": self.lookups,
                 "hits": self.hits,
                 "misses": self.misses,
+                "hit_rate": (
+                    round(self.hits / self.lookups, 6)
+                    if self.lookups
+                    else None
+                ),
                 "rejected_rows": self.rejected_rows,
                 "op_errors": self.op_errors,
                 "lock_retries": self.lock_retries,

@@ -273,7 +273,6 @@ class TestAutoSerial:
                     group=[out],
                     gi=gi,
                     options=DecompositionOptions(k=5),
-                    base_name=f"as{gi}",
                 )
             )
         results, report = run_group_tasks(tasks, jobs=2)

@@ -94,7 +94,6 @@ def _group_tasks(circuit="misex1", inject_at=None, spec=None, k=4):
                 group=list(group),
                 gi=gi,
                 options=options,
-                base_name=f"g{gi}",
                 inject=spec if gi == inject_at else None,
             )
         )

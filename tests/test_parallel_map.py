@@ -52,7 +52,6 @@ class TestGroupWorker:
             group=[out],
             gi=0,
             options=DecompositionOptions(k=5),
-            base_name="w0",
         )
         res = decompose_group_task(task)
         fragment = parse_blif(res.blif_text)
@@ -70,7 +69,6 @@ class TestGroupWorker:
                     group=[out],
                     gi=gi,
                     options=DecompositionOptions(k=5),
-                    base_name=f"w{gi}",
                 )
             )
         serial, report1 = run_group_tasks(tasks, jobs=1)

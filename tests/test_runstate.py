@@ -5,7 +5,8 @@ The invariants under test are the ones ISSUE acceptance hangs on:
 * an interrupted/crashed write NEVER leaves a truncated artifact — the
   previous file survives byte for byte and no temp litter remains;
 * journal task keys are content-addressed: change the options or the
-  cone BLIF and the key changes (stale records can't be replayed);
+  cone BLIF and the key changes (stale records can't be replayed), while
+  the circuit's name and the group's position never reach the key;
 * a corrupt journaled fragment is rejected at replay time, degrading to
   recomputation instead of splicing garbage;
 * the loader tolerates exactly one torn trailing line (the crash-mid-
@@ -28,7 +29,12 @@ from repro.harness import (
     load_record,
     save_record,
 )
-from repro.mapping.parallel import GroupResult, GroupTask, _replay_result
+from repro.mapping.parallel import (
+    GroupResult,
+    GroupTask,
+    _replay_result,
+    cone_blif,
+)
 from repro.runstate import (
     JournalError,
     RunJournal,
@@ -157,6 +163,25 @@ class TestTaskKey:
         base = make_task()
         moved = dataclasses.replace(base, gi=7, attempt=3, trace=True)
         assert task_key(base) == task_key(moved)
+
+    def test_circuit_name_and_group_position_do_not_split_the_key(self):
+        from repro.circuits import build
+
+        net = build("misex1")
+        renamed = build("misex1")
+        renamed.name = "misex1_copy"
+        group = net.output_names[:2]
+        base = GroupTask(
+            blif_text=cone_blif(net, group),
+            group=list(group),
+            gi=0,
+            options=DecompositionOptions(),
+        )
+        elsewhere = dataclasses.replace(
+            base, blif_text=cone_blif(renamed, group), gi=4
+        )
+        assert elsewhere.blif_text == base.blif_text
+        assert task_key(elsewhere) == task_key(base)
 
     def test_changing_options_changes_the_key(self):
         assert task_key(make_task()) != task_key(make_task(k=4))

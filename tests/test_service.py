@@ -166,6 +166,48 @@ def test_repeat_submission_hits_cache_byte_identical(serial_daemon):
     assert stats["store"]["current_rows"] == groups
 
 
+def test_stats_report_latency_percentiles_and_store_hit_rate(serial_daemon):
+    empty = serial_daemon.client.stats()
+    assert empty["latency"]["window"] == 0
+    assert empty["latency"]["p50_seconds"] is None
+    assert empty["store"]["session"]["hit_rate"] is None
+
+    first = serial_daemon.client.submit_blif(MISEX1)
+    serial_daemon.client.submit_blif(MISEX1)
+    stats = serial_daemon.client.stats()
+    latency = stats["latency"]
+    # The percentiles ride alongside every earlier field.
+    assert latency["maps"] == 2
+    assert latency["mean_seconds"] > 0 and latency["last_seconds"] > 0
+    assert latency["window"] == 2
+    assert (
+        0 < latency["p50_seconds"] <= latency["p90_seconds"]
+        <= latency["p99_seconds"] <= latency["total_seconds"]
+    )
+    session = stats["store"]["session"]
+    groups = len(first["fragments"])
+    assert session["lookups"] == 2 * groups
+    assert session["hit_rate"] == pytest.approx(0.5)
+
+
+def test_stats_latency_window_keeps_the_most_recent_maps():
+    from repro.service.daemon import LATENCY_WINDOW
+
+    with ResultStore(":memory:") as store:
+        service = MappingService(store, pool=None, jobs=1)
+        for ms in range(1, LATENCY_WINDOW + 101):
+            service.recent_map_seconds.append(ms / 1000)
+        latency = service.stats()["latency"]
+    assert latency["window"] == LATENCY_WINDOW
+    # Samples 1..100 ms fell out; 101..(LATENCY_WINDOW + 100) ms remain.
+    assert latency["p50_seconds"] == pytest.approx(
+        (101 + LATENCY_WINDOW + 100) / 2 / 1000
+    )
+    assert latency["p99_seconds"] == pytest.approx(
+        (100 + 1 + 0.99 * (LATENCY_WINDOW - 1)) / 1000, abs=1e-6
+    )
+
+
 def test_unknown_ops_and_bad_requests_get_error_records(serial_daemon):
     records = list(serial_daemon.client.request({"op": "frobnicate"}))
     assert records[-1]["type"] == "error"

@@ -17,10 +17,8 @@ from dataclasses import replace
 from repro.circuits import example_4_1_ingredients
 from repro.decompose import DecompositionOptions
 from repro.mapping.hyde import cluster_outputs
-from repro.mapping.parallel import GroupTask
-from repro.network import to_blif
+from repro.mapping.parallel import GroupTask, cone_blif
 from repro.network.globalbdd import GlobalBdds
-from repro.network.transform import extract_cone
 from repro.runstate.journal import KEY_HEX_LEN, task_key
 from repro.service import schema_version
 from repro.testing import FaultSpec
@@ -42,21 +40,22 @@ LITERAL_CONE = """.model golden_cone
 .end
 """
 
-GOLDEN_LITERAL = "a10b6d0b986de83606dcf902f82723d8"
-GOLDEN_LITERAL_K4 = "3d136210330b29b727d398d4cc588e68"
-GOLDEN_LITERAL_PER_OUTPUT = "d0fa11ae3072fc1de83bf90e771302f2"
-GOLDEN_LITERAL_EXACT = "54040d2d35690e6d9b79dd67b421031c"
+GOLDEN_LITERAL = "345d61b4ee6eb4777aaf4436869a9a31"
+GOLDEN_LITERAL_K4 = "36a7e22e99fe588400ed7071186abc30"
+GOLDEN_LITERAL_PER_OUTPUT = "d035990b754e3daa6650460d20a40e7a"
+GOLDEN_LITERAL_EXACT = "4860f2f36deab46af417aa0c482e841b"
 
 # The paper-example network's single ingredient-group cone, extracted
-# exactly as hyde_map does it.  This pin *does* ride on the netlist
-# builder and BLIF emitter — deliberately: those are part of the de
-# facto key contract for persisted stores.
-GOLDEN_EX41 = "bcf101396f52b92959d0a8839188d895"
+# exactly as hyde_map does it (``cone_blif``: fixed ``.model`` name).
+# This pin *does* ride on the netlist builder and BLIF emitter —
+# deliberately: those are part of the de facto key contract for
+# persisted stores.
+GOLDEN_EX41 = "ee38ff1511b41522cdf220960e1def31"
 
 #: Digest of the store's key/row schema; drifts when the key recipe,
 #: the options dataclass shape, the store format or the exact oracle's
 #: payload version changes.
-GOLDEN_SCHEMA = "d9d33f21a4d1"
+GOLDEN_SCHEMA = "3b3e6dc6c2e9"
 
 
 def _literal_task(**overrides) -> GroupTask:
@@ -119,8 +118,8 @@ def test_exact_schema_version_feeds_store_digest(monkeypatch):
     assert schema_version() != GOLDEN_SCHEMA
 
 
-def test_paper_example_cone_key_is_pinned():
-    net, k = example_4_1_ingredients()
+def _paper_example_task(net, k, gi=0) -> GroupTask:
+    """The paper example's single group task, built as ``hyde_map`` does."""
     gb = GlobalBdds(net)
     manager = gb.manager
     supports = {
@@ -132,15 +131,31 @@ def test_paper_example_cone_key_is_pinned():
     }
     groups = cluster_outputs(supports, 4)
     assert groups == [["f0", "f2", "f3", "f1"]]
-    cone = extract_cone(net, groups[0], name=f"{net.name}_g0_cone")
-    task = GroupTask(
-        blif_text=to_blif(cone),
+    return GroupTask(
+        blif_text=cone_blif(net, groups[0]),
         group=list(groups[0]),
-        gi=0,
+        gi=gi,
         options=DecompositionOptions(k=k),
-        base_name=f"{net.name}_g0",
     )
-    assert task_key(task) == GOLDEN_EX41
+
+
+def test_paper_example_cone_key_is_pinned():
+    net, k = example_4_1_ingredients()
+    assert task_key(_paper_example_task(net, k)) == GOLDEN_EX41
+
+
+def test_cone_key_ignores_circuit_name_and_position():
+    """A cone keys on its content: the circuit around it is not content.
+
+    The same cone from a renamed copy of the circuit, or at another group
+    position, must land on the same row — the property that lets a
+    renamed resubmission hit the service store on every group.
+    """
+    net, k = example_4_1_ingredients()
+    renamed, _ = example_4_1_ingredients()
+    renamed.name = "some_other_design"
+    assert task_key(_paper_example_task(renamed, k)) == GOLDEN_EX41
+    assert task_key(_paper_example_task(net, k, gi=5)) == GOLDEN_EX41
 
 
 def test_store_schema_version_is_pinned():
@@ -167,7 +182,6 @@ def test_key_ignores_run_local_fields():
 def test_key_tracks_content_fields():
     base = task_key(_literal_task())
     assert task_key(_literal_task(group=["g", "f"])) != base
-    assert task_key(_literal_task(base_name="other")) != base
     assert task_key(_literal_task(ingredient_policy="greedy")) != base
     assert (
         task_key(

@@ -217,7 +217,7 @@ def test_finegrain_reply_validation_journals_failing_cone(tmp_path):
     journal = open_journal(tmp_path, circuit="c", flow="hyde", k=4)
     task = GroupTask(
         blif_text=to_blif(cone), group=[out], gi=0,
-        options=DecompositionOptions(k=4), base_name="c_g0",
+        options=DecompositionOptions(k=4),
     )
     policy = TaskPolicy(verify_mode="finegrain")
 

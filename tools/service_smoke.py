@@ -8,8 +8,11 @@ The CI-shaped end-to-end check for the mapping service:
    LUT count must match a direct in-process ``hyde_map`` run;
 3. submit misex1 again — every group task must HIT, and the mapped
    network must be byte-identical to the first response;
-4. validate the store file (row hashes, key shapes, fragment parses);
-5. dismiss the daemon with the ``shutdown`` op and require exit 0.
+4. submit misex1 under a new model name — the store is keyed on cone
+   content, not circuit names, so every group task must HIT again and
+   the response must be equivalent to the renamed source;
+5. validate the store file (row hashes, key shapes, fragment parses);
+6. dismiss the daemon with the ``shutdown`` op and require exit 0.
 
 Any failure exits non-zero with the daemon's captured output attached,
 so the CI log alone is enough to see what broke.
@@ -28,7 +31,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.circuits import build  # noqa: E402
 from repro.mapping import hyde_map  # noqa: E402
-from repro.network import to_blif  # noqa: E402
+from repro.network import check_equivalence, parse_blif, to_blif  # noqa: E402
 from repro.service import ResultStore, ServiceClient  # noqa: E402
 
 
@@ -98,6 +101,21 @@ def main() -> int:
     print(
         f"warm: {second['luts']} LUTs in {second['service_seconds']:.3f}s, "
         f"all {second['cache']['hits']} group task(s) from cache"
+    )
+
+    renamed = build("misex1")
+    renamed.name = "misex1_renamed"
+    third = client.submit_blif(to_blif(renamed))
+    if third["cache"]["misses"] != 0 or third["cache"]["hits"] != len(
+        first["fragments"]
+    ):
+        fail(proc, f"renamed submission did not hit: {third['cache']}")
+    bad = check_equivalence(renamed, parse_blif(third["blif"]))
+    if bad is not None:
+        fail(proc, f"renamed response differs from its source at {bad!r}")
+    print(
+        f"renamed: {third['luts']} LUTs in {third['service_seconds']:.3f}s, "
+        f"all {third['cache']['hits']} group task(s) from cache"
     )
 
     stats = client.stats()
