@@ -25,7 +25,7 @@ verify-fuzz:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Fast perf-regression gate: 3 circuits, oracle on/off + jobs=2
+# Fast perf-regression gate: 3 circuits, default flow + jobs=2
 # equivalence check; writes BENCH_hyde.json at the repo root.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_regression.py --smoke

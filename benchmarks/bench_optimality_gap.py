@@ -51,6 +51,7 @@ from repro.network.transform import extract_cone
 
 from benchmarks.bench_perf_regression import (  # noqa: F401 (re-exported)
     BENCH_FILE,
+    GAP_COLUMNS,
     SMALL_TABLE1,
     SMOKE_SET,
 )
@@ -217,13 +218,7 @@ def merge_into_bench(
     circuits = data.setdefault("circuits", {})
     for name, record in records.items():
         entry = circuits.setdefault(name, {})
-        for key in (
-            "exact_gap",
-            "cones_scored",
-            "cones_budget",
-            "cones_skipped",
-            "cones_optimal",
-        ):
+        for key in GAP_COLUMNS:
             entry[key] = record[key]
     with atomic_write(bench_file) as handle:
         handle.write(json.dumps(data, indent=2) + "\n")

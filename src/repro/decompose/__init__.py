@@ -41,7 +41,6 @@ from .nondisjoint import (
     decompose_step_nondisjoint,
     nondisjoint_gain,
 )
-from .oracle import ClassCountOracle
 from .recursive import DecompositionTrace, decompose_to_network
 from .rothkarp import DecompositionOptions, DecompositionStep, decompose_step
 from .varpart import VariablePartition, select_bound_set
@@ -69,7 +68,6 @@ __all__ = [
     "greedy_matching",
     "VariablePartition",
     "select_bound_set",
-    "ClassCountOracle",
     "EncodingChart",
     "pack_chart",
     "EncodingResult",

@@ -434,10 +434,8 @@ def encode_classes(
     policy: str = "chart",
     forbidden_bound_levels: Sequence[int] = (),
     preferred_free_levels: Sequence[int] = (),
-    use_oracle: bool = True,
     fast_path: str = "auto",
     fast_path_max_width: Optional[int] = None,
-    oracle_min_support: int = 0,
     benefit_weights: Tuple[float, float] = (1.0, 1.0),
 ) -> EncodingResult:
     """Run the Figure-3 encoding procedure.
@@ -501,10 +499,8 @@ def encode_classes(
             use_dontcares=use_dontcares,
             forbidden=forbidden_bound_levels,
             preferred_free=preferred_free_levels,
-            use_oracle=use_oracle,
             fast_path=fast_path,
             fast_path_max_width=fast_path_max_width,
-            oracle_min_support=oracle_min_support,
         )
     result.suggested_bound = vp.bound_levels
     alpha_set = set(alpha_levels)

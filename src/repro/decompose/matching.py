@@ -65,7 +65,9 @@ def max_weight_matching(
         key = tuple(sorted((e.u, e.v), key=repr))
         if key not in best or best[key].weight < e.weight:
             best[key] = e
-    return [best[key] for key in pairs if key in best]
+    # Sorted: ``pairs`` is a set of vertex tuples, and callers break
+    # equal-weight ties by this order, so set order must not leak out.
+    return [best[key] for key in sorted(pairs, key=repr) if key in best]
 
 
 def greedy_matching(edges: Sequence[WeightedEdge]) -> List[WeightedEdge]:

@@ -23,7 +23,6 @@ from .encoding import (
     canonical_codes,
     encode_classes,
 )
-from .oracle import ClassCountOracle
 from .varpart import VariablePartition, select_bound_set
 
 __all__ = ["DecompositionStep", "decompose_step", "DecompositionOptions"]
@@ -57,16 +56,6 @@ class DecompositionOptions:
         pins pseudo primary inputs with this).
     preferred_free_levels:
         Levels kept free on cost ties (HYDE's PPI placement preference).
-    use_oracle:
-        Memoize class counts in the manager's shared
-        :class:`~repro.decompose.oracle.ClassCountOracle` (default).
-        Disable for ablations that need every count re-enumerated.
-    oracle_min_support:
-        Bypass the oracle for supports narrower than this: on small
-        cones the memo bookkeeping costs as much as the counts it saves
-        (BENCH showed oracle speedups of 0.98–1.02x there).  Bypasses
-        are reported as ``oracle_bypasses`` in the perf counters.
-        ``0`` disables the bypass.
     fast_path:
         Class-counting backend policy: ``"auto"`` (packed truth tables
         for supports up to ``fast_path_max_width``, BDD walk beyond),
@@ -103,8 +92,6 @@ class DecompositionOptions:
     forbidden_bound_levels: Tuple[int, ...] = ()
     preferred_free_levels: Tuple[int, ...] = ()
     bound_size_search: bool = False
-    use_oracle: bool = True
-    oracle_min_support: int = 10
     fast_path: str = "auto"
     fast_path_max_width: Optional[int] = None
     max_bdd_nodes: Optional[int] = None
@@ -189,9 +176,6 @@ def decompose_step(
 
     perf = manager.perf
     cost = options.cost
-    oracle = (
-        ClassCountOracle.for_manager(manager) if options.use_oracle else None
-    )
     if bound_levels is None:
         default_size = min(k, len(support) - 1)
         sizes = [default_size]
@@ -214,11 +198,8 @@ def decompose_step(
                     use_dontcares=options.use_dontcares,
                     forbidden=options.forbidden_bound_levels,
                     preferred_free=options.preferred_free_levels,
-                    oracle=oracle,
-                    use_oracle=options.use_oracle,
                     fast_path=options.fast_path,
                     fast_path_max_width=options.fast_path_max_width,
-                    oracle_min_support=options.oracle_min_support,
                     cost=cost,
                     level_depths=level_depths,
                 )
@@ -255,13 +236,6 @@ def decompose_step(
             fast_path=options.fast_path,
         )
     n = classes.num_classes
-    if oracle is not None:
-        # Future searches touching this exact (function, bound) pair —
-        # e.g. re-decomposition of a duplicated cone — reuse the count.
-        if dc == FALSE or not options.use_dontcares:
-            oracle.seed_syntactic(on, dc, bound, n)
-        else:
-            oracle.seed_exact(on, dc, bound, n)
     if n < 2:
         # f does not depend on the bound set (possible only via don't
         # cares); the caller should simply drop those variables.
@@ -304,10 +278,8 @@ def decompose_step(
                 ),
                 forbidden_bound_levels=options.forbidden_bound_levels,
                 preferred_free_levels=options.preferred_free_levels,
-                use_oracle=options.use_oracle,
                 fast_path=options.fast_path,
                 fast_path_max_width=options.fast_path_max_width,
-                oracle_min_support=options.oracle_min_support,
                 benefit_weights=cost.encoder_weights(),
             )
 
@@ -466,10 +438,8 @@ def _worst_encoding(
         min(options.k, len(support) - 1),
         dc=draft.dc,
         use_dontcares=options.use_dontcares,
-        use_oracle=options.use_oracle,
         fast_path=options.fast_path,
         fast_path_max_width=options.fast_path_max_width,
-        oracle_min_support=options.oracle_min_support,
     )
     worst_codes = base
     worst_image = draft

@@ -10,8 +10,8 @@ a search strategy sized to pure Python:
 * otherwise greedy growth plus a swap-improvement pass.
 
 The searches run over one of two interchangeable *backends* sharing the
-identical driver (same candidate order, same tie-breaking, same oracle
-interplay, hence bit-identical selections):
+identical search loops (same candidate order, same tie-breaking, hence
+bit-identical selections):
 
 * :class:`_BddSearch` — the incremental distinct-residual sets over BDD
   node ids (the historical path, always available);
@@ -33,15 +33,12 @@ Three performance notes:
 * Greedy candidate evaluation is incremental: the search state for the
   current bound set is kept, and adding variable ``x`` only extends that
   state instead of re-enumerating all ``2**b`` cofactors of the root.
-* All counts flow through the shared
-  :class:`~repro.decompose.oracle.ClassCountOracle` (unless disabled for
-  ablations, or bypassed below ``oracle_min_support`` where the memo
-  costs more than the counts): repeated queries for the same
-  ``(on, dc, bound)`` — from the swap pass, from smaller-bound-size
-  searches, and from re-decompositions of the same sub-function at other
-  recursion levels — are answered from the memo instead of re-counted.
-  The packed backend additionally serves counts from a
-  manager-independent global memo keyed by the packed bits themselves.
+* Every count comes straight from the backend.  The packed backend
+  serves repeated ``(function, bound)`` queries — from the swap pass,
+  from smaller-bound-size searches and from re-decompositions of the
+  same sub-function — from one process-wide memo keyed by the packed
+  bits themselves (:mod:`repro.fastpath.bitops`), so it also survives
+  across managers.
 
 Ties are broken toward lexicographically smallest level tuples so results
 are deterministic.
@@ -55,9 +52,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import FALSE, TRUE, BddManager
 from ..fastpath import bitops
-from .compatible import count_classes
+from .compatible import compute_classes
 from .cost import CostModel
-from .oracle import ClassCountOracle
 
 __all__ = ["VariablePartition", "select_bound_set"]
 
@@ -78,12 +74,13 @@ class VariablePartition:
 class _BddSearch:
     """Distinct-residual-set backend over BDD node ids (always valid)."""
 
-    __slots__ = ("manager", "on", "dc")
+    __slots__ = ("manager", "on", "dc", "fast_path")
 
-    def __init__(self, manager: BddManager, on: int, dc: int):
+    def __init__(self, manager: BddManager, on: int, dc: int, fast_path: str):
         self.manager = manager
         self.on = on
         self.dc = dc
+        self.fast_path = fast_path  # steers only the don't-care merge
 
     def root(self):
         return {(self.on, self.dc)}
@@ -106,6 +103,12 @@ class _BddSearch:
             return len(set(on_parts))
         dc_parts = manager.cofactor_enumerate(self.dc, list(bound))
         return len(set(zip(on_parts, dc_parts)))
+
+    def merged_count_bound(self, bound: Sequence[int]) -> int:
+        return compute_classes(
+            self.manager, self.on, list(bound), self.dc, True,
+            fast_path=self.fast_path,
+        ).num_classes
 
 
 def _make_search(
@@ -139,26 +142,7 @@ def _make_search(
                 return bitops.PackedSearch(pair, perf)
         else:
             perf.fastpath_fallbacks += 1
-    return _BddSearch(manager, on, dc)
-
-
-def _syntactic_count(
-    manager: BddManager,
-    on: int,
-    dc: int,
-    bound: Sequence[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-) -> int:
-    """Distinct (on, dc) column pairs — the cheap search cost."""
-    if oracle is not None:
-        return oracle.syntactic_count(
-            on, dc, bound,
-            compute=search.count_bound if search is not None else None,
-        )
-    if search is not None:
-        return search.count_bound(bound)
-    return _BddSearch(manager, on, dc).count_bound(bound)
+    return _BddSearch(manager, on, dc, fast_path)
 
 
 def select_bound_set(
@@ -171,11 +155,8 @@ def select_bound_set(
     exhaustive_limit: int = 512,
     forbidden: Iterable[int] = (),
     preferred_free: Iterable[int] = (),
-    oracle: Optional[ClassCountOracle] = None,
-    use_oracle: bool = True,
     fast_path: str = "auto",
     fast_path_max_width: Optional[int] = None,
-    oracle_min_support: int = 0,
     cost: Optional[CostModel] = None,
     level_depths: Optional[Dict[int, int]] = None,
 ) -> VariablePartition:
@@ -201,28 +182,10 @@ def select_bound_set(
     exhaustive_limit:
         Exhaustive search is used when C(|support|, bound_size) does not
         exceed this; greedy + swap otherwise.
-    oracle:
-        An explicit class-count memo to consult; defaults to the manager's
-        shared :class:`ClassCountOracle` while ``use_oracle`` holds.  Pass
-        ``use_oracle=False`` to force uncached enumeration (ablations).
     fast_path / fast_path_max_width:
         Backend policy (see the module docstring).  ``None`` width means
         the kernel default (:data:`repro.fastpath.bitops.DEFAULT_MAX_WIDTH`).
-    oracle_min_support:
-        Below this support width the oracle is bypassed entirely: counts
-        are so cheap there that memo bookkeeping is pure overhead
-        (reported as ``oracle_bypasses`` in the perf counters).
     """
-    if (
-        use_oracle
-        and oracle_min_support
-        and len(support) < oracle_min_support
-    ):
-        manager.perf.oracle_bypasses += 1
-        oracle = None
-        use_oracle = False
-    if oracle is None and use_oracle:
-        oracle = ClassCountOracle.for_manager(manager)
     forbidden_set = set(forbidden)
     preferred_free_set = set(preferred_free)
     candidates = [lv for lv in support if lv not in forbidden_set]
@@ -251,7 +214,7 @@ def select_bound_set(
         return 1 + max((depths.get(lv, 0) for lv in bound), default=0)
 
     def key_of(bound: Tuple[int, ...]) -> Tuple:
-        classes = _syntactic_count(manager, on, dc, bound, oracle, search)
+        classes = search.count_bound(bound)
         penalty = sum(1 for lv in bound if lv in preferred_free_set)
         return cost.bound_key(classes, alpha_depth_of(bound)) + (
             penalty,
@@ -272,35 +235,24 @@ def select_bound_set(
     total = math.comb(len(candidates), bound_size)
     if total <= exhaustive_limit:
         best = _exhaustive_bound_set(
-            manager, on, dc, candidates, bound_size, preferred_free_set,
-            oracle, search, cost, alpha_depth_of,
+            manager, candidates, bound_size, preferred_free_set,
+            search, cost, alpha_depth_of,
         )
     else:
         best = _greedy_bound_set(
-            manager, on, dc, candidates, bound_size, preferred_free_set,
-            oracle, search, cost, alpha_depth_of,
+            manager, candidates, bound_size, preferred_free_set,
+            search, cost, alpha_depth_of,
         )
-        best = _swap_improve(
-            manager, on, dc, candidates, best, key_of
-        )
+        best = _swap_improve(manager, candidates, best, key_of)
 
     free = tuple(lv for lv in support if lv not in set(best))
-    if oracle is not None:
-        num_classes = oracle.exact_count(
-            on,
-            dc,
-            best,
-            use_dontcares,
-            compute=search.count_bound,
-            compute_merged=getattr(search, "merged_count_bound", None),
-            fast_path=fast_path,
-        )
-    elif dc == FALSE or not use_dontcares:
+    if dc == FALSE or not use_dontcares:
         num_classes = search.count_bound(best)
     else:
-        num_classes = count_classes(
-            manager, on, list(best), dc, use_dontcares, fast_path=fast_path
-        )
+        # The search's own packed tables (or BDDs) answer the merge; a
+        # detour through count_classes would recompute supports and
+        # repack the pair.
+        num_classes = search.merged_count_bound(best)
     return VariablePartition(
         bound_levels=tuple(sorted(best)),
         free_levels=free,
@@ -347,15 +299,12 @@ def _extend_distinct(
 
 def _exhaustive_bound_set(
     manager: BddManager,
-    on: int,
-    dc: int,
     candidates: Sequence[int],
     bound_size: int,
     preferred_free: Set[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-    cost: Optional[CostModel] = None,
-    alpha_depth_of=None,
+    search,
+    cost: CostModel,
+    alpha_depth_of,
 ) -> Tuple[int, ...]:
     """Exact search over all bound sets via shared-prefix DFS.
 
@@ -366,30 +315,16 @@ def _exhaustive_bound_set(
     count-based pruning is applied: the distinct-residual count is NOT
     monotone in the bound set (columns that differ only in a variable
     added later can collapse), so any such prune would be unsound.
-
-    Leaf counts are seeded into (and, on repeat searches over the same
-    function, answered by) the class-count oracle: a completed bound set's
-    count never has to be recomputed by a later search, swap pass or
-    recursion level.
     """
     if bound_size == 0:
         return ()
-    if search is None:
-        search = _BddSearch(manager, on, dc)
-    if cost is None:
-        cost = CostModel()
-    if alpha_depth_of is None:
-        alpha_depth_of = lambda bound: 0  # noqa: E731 - area-mode default
     ordered = sorted(candidates)
     best: Optional[Tuple] = None  # cost key + (penalty, bound)
-
-    def penalty_of(bound: Tuple[int, ...]) -> int:
-        return sum(1 for lv in bound if lv in preferred_free)
 
     def consider(bound: Tuple[int, ...], classes: int) -> None:
         nonlocal best
         key = cost.bound_key(classes, alpha_depth_of(bound)) + (
-            penalty_of(bound),
+            sum(1 for lv in bound if lv in preferred_free),
             bound,
         )
         if best is None or key < best:
@@ -401,16 +336,9 @@ def _exhaustive_bound_set(
         manager.check_budget()
         for i in range(start, len(ordered) - need + 1):
             lv = ordered[i]
-            bound = tuple(chosen + [lv])
             if last_level:
-                if oracle is not None:
-                    cached = oracle.lookup_syntactic(on, dc, bound)
-                    if cached is not None:
-                        consider(bound, cached)
-                        continue
+                bound = tuple(chosen + [lv])
                 count, _ = search.eval_candidate(state, lv, bound)
-                if oracle is not None:
-                    oracle.seed_syntactic(on, dc, bound, count)
                 consider(bound, count)
             else:
                 extended = search.extend(state, lv)
@@ -425,29 +353,19 @@ def _exhaustive_bound_set(
 
 def _greedy_bound_set(
     manager: BddManager,
-    on: int,
-    dc: int,
     candidates: Sequence[int],
     bound_size: int,
     preferred_free: Set[int],
-    oracle: Optional[ClassCountOracle] = None,
-    search=None,
-    cost: Optional[CostModel] = None,
-    alpha_depth_of=None,
+    search,
+    cost: CostModel,
+    alpha_depth_of,
 ) -> Tuple[int, ...]:
     """Greedy growth with incremental search states.
 
     The state is the backend search state for the current bound; adding a
-    candidate only extends that state.  Candidate counts are served by
-    the oracle when already known; only the winning candidate's state is
-    materialised once per growth step.
+    candidate only extends that state.  Only the winning candidate's state
+    is kept for the next growth step.
     """
-    if search is None:
-        search = _BddSearch(manager, on, dc)
-    if cost is None:
-        cost = CostModel()
-    if alpha_depth_of is None:
-        alpha_depth_of = lambda bound: 0  # noqa: E731 - area-mode default
     chosen: List[int] = []
     remaining = list(candidates)
     state = search.root()
@@ -457,16 +375,9 @@ def _greedy_bound_set(
         best_state = None
         manager.check_budget()
         for lv in remaining:
-            new_state = None
-            count: Optional[int] = None
-            if oracle is not None:
-                count = oracle.lookup_syntactic(on, dc, chosen + [lv])
-            if count is None:
-                count, new_state = search.eval_candidate(
-                    state, lv, chosen + [lv]
-                )
-                if oracle is not None:
-                    oracle.seed_syntactic(on, dc, chosen + [lv], count)
+            count, new_state = search.eval_candidate(
+                state, lv, chosen + [lv]
+            )
             key = cost.bound_key(
                 count, alpha_depth_of(chosen + [lv])
             ) + (
@@ -479,8 +390,8 @@ def _greedy_bound_set(
                 best_state = new_state
         assert best_lv is not None
         if best_state is None:
-            # The winner's count came from a memo; materialise its
-            # search state once for the next growth step.
+            # The winner's count came from the packed backend's memo;
+            # materialise its search state once for the next step.
             best_state = search.extend(state, best_lv)
         chosen.append(best_lv)
         remaining.remove(best_lv)
@@ -490,8 +401,6 @@ def _greedy_bound_set(
 
 def _swap_improve(
     manager: BddManager,
-    on: int,
-    dc: int,
     candidates: Sequence[int],
     bound: Tuple[int, ...],
     key_of,

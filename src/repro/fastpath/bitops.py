@@ -31,11 +31,12 @@ Width policy: tables are capped at :data:`HARD_MAX_WIDTH` variables
 the BDD path above :data:`DEFAULT_MAX_WIDTH`.  All fallbacks are
 transparent and counted in ``PerfCounters.fastpath_fallbacks``.
 
-Class counts are additionally memoized **manager-independently** in a
-module-level table keyed by the packed bits themselves (not node ids), so
-warm worker processes and repeated managers over the same cone reuse
-counts across :class:`~repro.bdd.BddManager` lifetimes — the per-manager
-:class:`~repro.decompose.oracle.ClassCountOracle` sits above this.
+Class counts are memoized **manager-independently** in one module-level
+table keyed by the packed bits themselves (not node ids), so repeated
+queries within a search, warm worker processes and repeated managers
+over the same cone all reuse counts across
+:class:`~repro.bdd.BddManager` lifetimes.  This is the only class-count
+memo: the BDD backend (supports too wide to pack) counts directly.
 """
 
 from __future__ import annotations

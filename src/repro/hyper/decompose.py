@@ -72,7 +72,6 @@ def decompose_hyper_function(
         options.k,
         policy=ingredient_policy,
         preferred_free_ppis=(ppi_placement != "unrestricted"),
-        use_oracle=options.use_oracle,
     )
 
     net = Network(network_name)
@@ -101,7 +100,6 @@ def decompose_hyper_function(
             if ppi_placement == "prefer_free"
             else options.preferred_free_levels
         ),
-        use_oracle=options.use_oracle,
     )
 
     trace = DecompositionTrace()

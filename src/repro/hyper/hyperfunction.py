@@ -80,7 +80,6 @@ def build_hyper_function(
     policy: str = "chart",
     ppi_prefix: str = "_eta",
     preferred_free_ppis: bool = True,
-    use_oracle: bool = True,
 ) -> HyperFunction:
     """Fold ``ingredients`` (name, on-BDD pairs) into a hyper-function.
 
@@ -151,7 +150,6 @@ def build_hyper_function(
         preferred_free_levels=(
             tuple(ppi_levels) if preferred_free_ppis else ()
         ),
-        use_oracle=use_oracle,
     )
     return HyperFunction(
         manager=manager,

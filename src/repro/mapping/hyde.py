@@ -130,8 +130,6 @@ def hyde_map(
     pack_clbs: bool = True,
     fallback_per_output: bool = True,
     jobs: int = 1,
-    use_oracle: bool = True,
-    oracle_min_support: int = 10,
     fast_path: str = "auto",
     fast_path_max_width: Optional[int] = None,
     policy: Optional[TaskPolicy] = None,
@@ -156,13 +154,10 @@ def hyde_map(
 
     ``jobs > 1`` fans the ingredient groups out to a process pool (each
     worker decomposes its group's fan-in cone in a private manager; see
-    :mod:`repro.mapping.parallel`).  ``use_oracle=False`` disables the
-    memoized class-count oracle for ablation runs;
-    ``oracle_min_support`` bypasses it on cones too narrow to amortize
-    (see :class:`~repro.decompose.DecompositionOptions`).  ``fast_path``
-    selects the class-counting backend — ``"auto"`` (packed tables for
-    narrow supports, BDD beyond ``fast_path_max_width``), ``"bitpack"``
-    or ``"bdd"`` — the mapping is identical either way.  Counter and
+    :mod:`repro.mapping.parallel`).  ``fast_path`` selects the
+    class-counting backend — ``"auto"`` (packed tables for narrow
+    supports, BDD beyond ``fast_path_max_width``), ``"bitpack"`` or
+    ``"bdd"`` — the mapping is identical either way.  Counter and
     phase-time telemetry lands in ``MapResult.details["perf"]``.
 
     ``policy`` (a :class:`~repro.mapping.parallel.TaskPolicy`) turns on
@@ -257,8 +252,6 @@ def hyde_map(
         k=k,
         encoding_policy=encoding_policy,
         use_dontcares=use_dontcares,
-        use_oracle=use_oracle,
-        oracle_min_support=oracle_min_support,
         fast_path=fast_path,
         fast_path_max_width=fast_path_max_width,
         max_bdd_nodes=max_bdd_nodes,
@@ -456,8 +449,6 @@ def hyde_map(
         luts = count_luts(result, k)
         clbs = pack_xc3000(result).num_clbs if pack_clbs else None
     perf_report = perf.snapshot(manager)
-    if manager._class_oracle is not None:
-        perf_report["oracle"] = manager._class_oracle.stats()
     perf_report["jobs_requested"] = jobs
     perf_report["jobs_used"] = jobs_used
     seconds = time.time() - start

@@ -10,10 +10,10 @@ threads.
 The serialization boundary is BLIF text (:mod:`repro.network.blif`): a
 :class:`GroupTask` carries the standalone fan-in cone of one group's
 outputs; the worker parses it, builds the group's global BDDs in its *own*
-:class:`~repro.bdd.BddManager`, decomposes (with its own class-count
-oracle), and ships the mapped fragment back as BLIF for the parent to
-splice.  BDD node ids are only canonical within one manager, so nothing
-manager-specific ever crosses the process boundary.
+:class:`~repro.bdd.BddManager`, decomposes, and ships the mapped fragment
+back as BLIF for the parent to splice.  BDD node ids are only canonical
+within one manager, so nothing manager-specific ever crosses the process
+boundary.
 
 Crossing a process boundary also means trusting what comes back.  With a
 :class:`TaskPolicy` the parent stops trusting: each pooled task gets a
@@ -457,11 +457,11 @@ def structural_fragment(
 def decompose_group_task(task: GroupTask) -> GroupResult:
     """Pool worker: cone BLIF in, mapped fragment BLIF out.
 
-    Runs entirely in a private manager — global BDDs of the cone, the
-    shared class-count oracle and the decomposition all live and die with
-    this call.  The cone's primary inputs keep the parent's relative
-    order, so bound-set selection (whose ties break on level order) makes
-    the same choices the serial flow would.  Any resource budget in
+    Runs entirely in a private manager — global BDDs of the cone and the
+    decomposition all live and die with this call.  The cone's primary
+    inputs keep the parent's relative order, so bound-set selection
+    (whose ties break on level order) makes the same choices the serial
+    flow would.  Any resource budget in
     ``task.options`` is armed on the private manager, so a blow-up raises
     :class:`~repro.bdd.BddBudgetExceeded` here and crosses back to the
     parent as an ordinary (picklable) exception.

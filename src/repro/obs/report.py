@@ -8,7 +8,8 @@ The summary has four parts:
 2. a flat per-phase table (same aggregation, flattened and sorted by
    total time) for quick "where did it go" reading;
 3. engine counters from the meta record's merged perf snapshot (cache
-   hit rates, oracle hit ratio) plus per-task-tree worker totals;
+   hit rates, class-count memo hit ratio) plus per-task-tree worker
+   totals;
 4. degradation events (timeouts, ladder rungs, pool fallbacks) inline.
 """
 
@@ -183,22 +184,17 @@ def render_trace_summary(records: Sequence[Dict[str, object]]) -> str:
     if perf:
         lines.append("")
         lines.append("merged counters (parent + workers):")
-        for label, calls_key, rate in [
-            ("apply calls", "apply_calls",
+        memo_queries = (perf.get("fastpath_global_hits") or 0) + (
+            perf.get("fastpath_global_misses") or 0
+        )
+        for label, count, rate in [
+            ("apply calls", perf.get("apply_calls") or 0,
              _rate(perf.get("apply_hits"), perf.get("apply_calls"))),
-            ("cofactor calls", "cofactor_calls",
+            ("cofactor calls", perf.get("cofactor_calls") or 0,
              _rate(perf.get("cofactor_hits"), perf.get("cofactor_calls"))),
-            ("oracle queries", None,
-             _rate(perf.get("oracle_hits"),
-                   (perf.get("oracle_hits") or 0)
-                   + (perf.get("oracle_misses") or 0))),
+            ("class-count memo queries", memo_queries,
+             _rate(perf.get("fastpath_global_hits"), memo_queries)),
         ]:
-            if calls_key is None:
-                count = (perf.get("oracle_hits") or 0) + (
-                    perf.get("oracle_misses") or 0
-                )
-            else:
-                count = perf.get(calls_key) or 0
             text = f"  {label:<28s} {count:>12}"
             if rate is not None:
                 text += f"  hit rate {rate:.1%}"

@@ -118,8 +118,6 @@ _COMMON_KNOBS = (
     "use_dontcares",
     "verify",
     "pack_clbs",
-    "use_oracle",
-    "oracle_min_support",
     "fast_path",
     "fast_path_max_width",
     "max_bdd_nodes",

@@ -308,14 +308,22 @@ class TestScriptGoldens:
         digest = hashlib.sha256(to_blif(net).encode()).hexdigest()
         assert digest == blif_sha256
 
+    #: SHA-256 of the mapped BLIF (the same at every hash seed, see
+    #: tests/test_hash_seed_determinism.py).
+    MAPPED_BLIF_SHA256 = {
+        1: "0f44317a040c829f3131b4822681eb8dedd960f8d29604afa12eff5fb0c8352d",
+        2: "8bc74a8a1f7eb489817eeff3941369fc0b54a1bf1648c48448ac2a84a3ffd577",
+    }
+
     @pytest.mark.parametrize("i, luts, depth", [(1, 227, 10), (2, 238, 11)])
     def test_map_structural_pinned(self, i, luts, depth):
-        # LUTs and depth only: the mapped BLIF still depends on the hash
-        # seed through the decomposition's set iteration order.
         from repro.mapping import map_structural
+        from repro.network.blif import to_blif
 
         result = map_structural(_sop(i), k=5)
         assert (result.lut_count, result.depth) == (luts, depth)
+        digest = hashlib.sha256(to_blif(result.network).encode()).hexdigest()
+        assert digest == self.MAPPED_BLIF_SHA256[i]
 
     def test_cold_run_equals_warm_run(self):
         from repro.network.blif import to_blif

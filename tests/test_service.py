@@ -166,6 +166,19 @@ def test_repeat_submission_hits_cache_byte_identical(serial_daemon):
     assert stats["store"]["current_rows"] == groups
 
 
+def test_retired_knobs_from_old_clients_are_ignored(serial_daemon):
+    # Older clients still send the knobs of the removed class-count
+    # oracle; the daemon ignores unknown request knobs, so the request
+    # maps and lands on the same cache rows as one without them.
+    old = serial_daemon.client.submit_blif(
+        RD73, use_oracle=False, oracle_min_support=3
+    )
+    plain = serial_daemon.client.submit_blif(RD73)
+    assert old["ok"] is True and plain["ok"] is True
+    assert plain["blif"] == old["blif"]
+    assert plain["cache"]["hits"] == len(old["fragments"])
+
+
 def test_stats_report_latency_percentiles_and_store_hit_rate(serial_daemon):
     empty = serial_daemon.client.stats()
     assert empty["latency"]["window"] == 0

@@ -40,22 +40,22 @@ LITERAL_CONE = """.model golden_cone
 .end
 """
 
-GOLDEN_LITERAL = "345d61b4ee6eb4777aaf4436869a9a31"
-GOLDEN_LITERAL_K4 = "36a7e22e99fe588400ed7071186abc30"
-GOLDEN_LITERAL_PER_OUTPUT = "d035990b754e3daa6650460d20a40e7a"
-GOLDEN_LITERAL_EXACT = "4860f2f36deab46af417aa0c482e841b"
+GOLDEN_LITERAL = "b1742dc319abc3352deb2f9b725405c0"
+GOLDEN_LITERAL_K4 = "f79338e78383e6938c90bae75dedc814"
+GOLDEN_LITERAL_PER_OUTPUT = "3175ccbb157eaf491f19f7e866bac918"
+GOLDEN_LITERAL_EXACT = "700a832145f4ebfe413c963f4711c91a"
 
 # The paper-example network's single ingredient-group cone, extracted
 # exactly as hyde_map does it (``cone_blif``: fixed ``.model`` name).
 # This pin *does* ride on the netlist builder and BLIF emitter —
 # deliberately: those are part of the de facto key contract for
 # persisted stores.
-GOLDEN_EX41 = "ee38ff1511b41522cdf220960e1def31"
+GOLDEN_EX41 = "1be3c0723c2aedf7e4539b409119459c"
 
 #: Digest of the store's key/row schema; drifts when the key recipe,
 #: the options dataclass shape, the store format or the exact oracle's
 #: payload version changes.
-GOLDEN_SCHEMA = "3b3e6dc6c2e9"
+GOLDEN_SCHEMA = "78ed6bcab88d"
 
 
 def _literal_task(**overrides) -> GroupTask:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.bdd import FALSE, BddManager
-from repro.decompose import count_classes, select_bound_set
+from repro.decompose import compute_classes, count_classes, select_bound_set
 
 
 def adder_like(m: BddManager):
@@ -79,3 +82,109 @@ class TestSelectBoundSet:
         f = adder_like(m)
         vp = select_bound_set(m, f, list(range(6)), 3)
         assert vp.num_classes == count_classes(m, f, list(vp.bound_levels))
+
+
+N = 6
+
+
+def random_function(m: BddManager, rng: random.Random) -> int:
+    return m.from_truth_table(rng.getrandbits(1 << N), list(range(N)))
+
+
+def random_dontcares(m: BddManager, rng: random.Random, f: int) -> int:
+    # A dc-set disjoint from the on-set.
+    return m.apply_and(random_function(m, rng), m.apply_not(f))
+
+
+class TestReportedCountMatchesReference:
+    """``num_classes`` against the uncached BDD count of the chosen bound.
+
+    Counts come straight from the search backend (the packed backend
+    memoizes them process-wide), so every backend and every repeated
+    query must agree with a fresh cofactor enumeration.
+    """
+
+    @pytest.mark.parametrize("fast_path", ["bdd", "auto"])
+    def test_random_functions_without_dontcares(self, fast_path):
+        rng = random.Random(1)
+        m = BddManager(N)
+        for _ in range(25):
+            f = random_function(m, rng)
+            size = rng.randint(1, 4)
+            vp = select_bound_set(
+                m, f, list(range(N)), size, fast_path=fast_path
+            )
+            expected = count_classes(
+                m, f, list(vp.bound_levels), fast_path="bdd"
+            )
+            assert vp.num_classes == expected
+            # A repeated query (memo-served on the packed backend)
+            # returns the same partition.
+            assert select_bound_set(
+                m, f, list(range(N)), size, fast_path=fast_path
+            ) == vp
+
+    @pytest.mark.parametrize("fast_path", ["bdd", "auto"])
+    def test_random_functions_with_dontcares_syntactic(self, fast_path):
+        rng = random.Random(2)
+        m = BddManager(N)
+        for _ in range(25):
+            f = random_function(m, rng)
+            dc = random_dontcares(m, rng, f)
+            vp = select_bound_set(
+                m, f, list(range(N)), rng.randint(1, 4), dc=dc,
+                use_dontcares=False, fast_path=fast_path,
+            )
+            # Distinct (on, dc) column pairs, no merging.
+            expected = count_classes(
+                m, f, list(vp.bound_levels), dc, use_dontcares=False,
+                fast_path="bdd",
+            )
+            assert vp.num_classes == expected
+
+    @pytest.mark.parametrize("fast_path", ["bdd", "auto"])
+    def test_random_functions_with_dontcares_merged(self, fast_path):
+        rng = random.Random(4)
+        m = BddManager(N)
+        for _ in range(15):
+            f = random_function(m, rng)
+            dc = random_dontcares(m, rng, f)
+            vp = select_bound_set(
+                m, f, list(range(N)), rng.randint(1, 4), dc=dc,
+                fast_path=fast_path,
+            )
+            expected = compute_classes(
+                m, f, list(vp.bound_levels), dc, True, fast_path="bdd"
+            ).num_classes
+            assert vp.num_classes == expected
+
+    def test_no_dontcares_means_no_merge(self):
+        m = BddManager(N)
+        f = m.apply_and(m.var_at_level(0), m.var_at_level(1))
+        merged = select_bound_set(m, f, list(range(N)), 2)
+        plain = select_bound_set(
+            m, f, list(range(N)), 2, use_dontcares=False
+        )
+        assert merged.num_classes == plain.num_classes
+
+    @pytest.mark.parametrize("exhaustive_limit", [512, 1])
+    def test_permuted_bound_sets(self, exhaustive_limit):
+        rng = random.Random(3)
+        m = BddManager(N)
+        for _ in range(10):
+            f = random_function(m, rng)
+            vp = select_bound_set(
+                m, f, list(range(N)), 3, exhaustive_limit=exhaustive_limit
+            )
+            # The syntactic count ignores the order of the bound set ...
+            for perm in itertools.permutations(vp.bound_levels):
+                assert count_classes(m, f, list(perm), fast_path="bdd") \
+                    == vp.num_classes
+            # ... and the selection ignores the order of the support.
+            support = list(range(N))
+            rng.shuffle(support)
+            shuffled = select_bound_set(
+                m, f, support, 3, exhaustive_limit=exhaustive_limit
+            )
+            assert shuffled.bound_levels == vp.bound_levels
+            assert shuffled.num_classes == vp.num_classes
